@@ -1,9 +1,12 @@
 // Ablation: the repair-schedule cache (DESIGN.md decision 1).  Repairing a
 // stripe involves a GF(2)/GF(256) solve to derive the XOR schedule; the
 // cache amortizes it across stripes with the same failure pattern, which is
-// the steady state of node-level recovery.
+// the steady state of node-level recovery.  "cache OFF" repairs every
+// stripe with a freshly constructed copy of the code, so each repair pays
+// the cold solve and program compilation.
 #include "bench_util.h"
 
+#include "../tests/support/reference_schedule.h"
 #include "codes/array_codes.h"
 #include "codes/rs_code.h"
 
@@ -14,18 +17,24 @@ namespace {
 
 double repair_time(const std::shared_ptr<const codes::LinearCode>& code,
                    bool cache_enabled, int reps) {
+  constexpr int kRuns = 3;
   BaseStripe stripe(code, std::size_t{256} << 10);
   stripe.encode();
   const std::vector<int> erased = {0, 1, 2};
-  code->set_plan_cache_enabled(cache_enabled);
+  // Cold copies are built up front so construction stays out of the timing.
+  std::vector<std::shared_ptr<const codes::LinearCode>> cold;
+  if (!cache_enabled) {
+    for (int i = 0; i < kRuns * reps; ++i) cold.push_back(reference::rebuild(*code));
+  }
+  std::size_t next = 0;
   const double t = time_op(
       [&] {
         for (int i = 0; i < reps; ++i) {
+          if (!cache_enabled) stripe.code = cold[next++];
           stripe.repair(erased);
         }
       },
-      3);
-  code->set_plan_cache_enabled(true);
+      kRuns);
   return t / reps;
 }
 

@@ -8,7 +8,9 @@
 // path; --backend <name> restricts the sweep to one backend (--backend all
 // is the default).  A Stopwatch-based summary table reports per-backend
 // GiB/s, TSC-based bytes/cycle and the speedup over scalar; a second table
-// compares naive vs compiled schedule execution (codes/schedule_opt.h).
+// compares the naive per-target reference executor
+// (tests/support/reference_schedule.h) with the compiled schedule execution
+// production runs (codes/schedule_opt.h).
 // With --json the tables (plus the obs registry, including the
 // kernels.bytes.<backend> counters) land in BENCH_kernels.json.
 // --summary-only skips the google-benchmark pass and prints just the tables.
@@ -25,6 +27,7 @@
 #include <x86intrin.h>
 #endif
 
+#include "../tests/support/reference_schedule.h"
 #include "common/buffer.h"
 #include "common/prng.h"
 #include "codes/array_codes.h"
@@ -32,7 +35,6 @@
 #include "codes/rs_code.h"
 #include "gf/gf256.h"
 #include "kernels/dispatch.h"
-#include "xorblk/xor_kernels.h"
 
 namespace {
 
@@ -52,7 +54,7 @@ void BM_XorAcc(benchmark::State& state, kernels::Backend backend) {
   Rng rng(1);
   fill_random(src.data(), n, rng);
   for (auto _ : state) {
-    xorblk::xor_acc(dst.data(), src.data(), n);
+    kernels::xor_acc(dst.data(), src.data(), n);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -73,7 +75,7 @@ void BM_XorGather(benchmark::State& state, kernels::Backend backend) {
   }
   AlignedBuffer dst(n);
   for (auto _ : state) {
-    xorblk::xor_gather(dst.data(), ptrs, n);
+    kernels::xor_gather(dst.data(), ptrs, n);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -185,16 +187,19 @@ void BM_EncodeStar(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeStar)->Arg(5)->Arg(11)->Arg(17);
 
+// Cold planning: every iteration plans on a freshly constructed code, so
+// the schedule cache never answers.
 void BM_SolveTripleErasure(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
-  auto code = codes::make_star(p, 3);
-  code->set_plan_cache_enabled(false);
+  const auto star = codes::make_star(p, 3);
   const std::vector<int> erased = {0, 1, 2};
   for (auto _ : state) {
+    state.PauseTiming();
+    const auto code = reference::rebuild(*star);
+    state.ResumeTiming();
     auto plan = code->plan_repair(erased);
     benchmark::DoNotOptimize(plan);
   }
-  code->set_plan_cache_enabled(true);
 }
 BENCHMARK(BM_SolveTripleErasure)->Arg(5)->Arg(11)->Arg(17);
 
@@ -267,7 +272,7 @@ void print_backend_summary() {
   for (const kernels::Backend b : g_backends) {
     kernels::BackendGuard guard(b);
     const auto mul_op = [&] { gf::mul_region(dst.data(), src.data(), kN, 0x53); };
-    const auto xacc_op = [&] { xorblk::xor_acc(dst.data(), src.data(), kN); };
+    const auto xacc_op = [&] { kernels::xor_acc(dst.data(), src.data(), kN); };
     const double mul = gib_per_sec(mul_op, kN);
     const double mul_bc = bytes_per_cycle(mul_op, kN);
     const double mul_acc = gib_per_sec(
@@ -275,7 +280,7 @@ void print_backend_summary() {
     const double xacc = gib_per_sec(xacc_op, kN);
     const double xacc_bc = bytes_per_cycle(xacc_op, kN);
     const double gath = gib_per_sec(
-        [&] { xorblk::xor_gather(dst.data(), ptrs, kN); },
+        [&] { kernels::xor_gather(dst.data(), ptrs, kN); },
         kN * kGatherSources);
     if (b == kernels::Backend::kScalar) scalar_mul = mul;
     const std::string speedup =
@@ -287,8 +292,9 @@ void print_backend_summary() {
   }
 }
 
-// Naive vs compiled schedule execution (codes/schedule_opt.h) on the
-// XOR-heavy code families the CSE pass targets, under the default backend.
+// Naive per-target reference vs compiled schedule execution
+// (codes/schedule_opt.h) on the XOR-heavy code families the CSE pass
+// targets, under the default backend.
 void print_schedule_summary() {
   struct Entry {
     const char* name;
@@ -303,15 +309,16 @@ void print_schedule_summary() {
   bench::print_row({"code", "naive", "compiled", "speedup"});
   for (const Entry& e : entries) {
     bench::BaseStripe stripe(e.code, std::size_t{1} << 22);
-    const auto measure = [&](bool opt) {
-      e.code->set_schedule_opt_enabled(opt);
-      const double t = bench::time_op([&] { stripe.encode(); }, 5,
-                                      /*warmup=*/1);
+    std::vector<codes::NodeView> views;
+    for (int n = 0; n < e.code->total_nodes(); ++n) {
+      views.push_back(codes::full_view(stripe.buffers.node(n), stripe.block));
+    }
+    const auto measure = [&](const std::function<void()>& encode) {
+      const double t = bench::time_op(encode, 5, /*warmup=*/1);
       return t > 0 ? stripe.data_gib() / t : -1.0;
     };
-    const double naive = measure(false);
-    const double compiled = measure(true);
-    e.code->set_schedule_opt_enabled(true);
+    const double naive = measure([&] { reference::encode(*e.code, views); });
+    const double compiled = measure([&] { stripe.encode(); });
     const std::string speedup =
         (naive > 0 && compiled > 0) ? bench::fmt(compiled / naive, 2) + "x" : "/";
     bench::print_row({e.name, bench::fmt(naive, 2), bench::fmt(compiled, 2),
@@ -324,8 +331,8 @@ void print_schedule_summary() {
 // Expanded BENCHMARK_MAIN(): strips the harness's own flags (--json[=path],
 // --summary-only, --backend <name|all>) before benchmark::Initialize (which
 // rejects unknown flags), prints the per-backend summary tables, and in
-// --json mode dumps tables + the obs registry (kernels.bytes.<backend>,
-// xorblk byte counters, solver spans, ...) accumulated across the run.
+// --json mode dumps tables + the obs registry (kernels.bytes.<backend>
+// byte counters, solver spans, ...) accumulated across the run.
 int main(int argc, char** argv) {
   approx::bench::bench_init(argc, argv, "kernels");
   bool summary_only = false;

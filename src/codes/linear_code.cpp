@@ -1,54 +1,28 @@
 #include "codes/linear_code.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <queue>
 #include <set>
-#include <string_view>
 
 #include "codes/schedule_opt.h"
 #include "common/error.h"
 #include "gf/gf256.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "xorblk/xor_kernels.h"
 
 namespace approx::codes {
 
-namespace {
-
-// Process-wide default for the schedule compiler.  APPROX_SCHEDULE=naive
-// opts out (ablation / bisection); unknown values warn and keep the default
-// so typos are visible rather than silently changing the execution path.
-bool schedule_opt_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("APPROX_SCHEDULE");
-    if (env == nullptr || *env == '\0') return true;
-    const std::string_view v(env);
-    if (v == "naive") return false;
-    if (v == "compiled") return true;
-    std::fprintf(stderr,
-                 "approx: APPROX_SCHEDULE=%s is not a known mode "
-                 "(naive|compiled); using compiled\n",
-                 env);
-    return true;
-  }();
-  return enabled;
-}
-
-}  // namespace
-
 LinearCode::LinearCode(std::string name, int k, int m, int rows,
                        std::vector<std::vector<Term>> parity_elems,
-                       int fault_tolerance)
+                       int fault_tolerance, bool peeling)
     : name_(std::move(name)),
       k_(k),
       m_(m),
       rows_(rows),
       fault_tolerance_(fault_tolerance),
       binary_(true),
+      peeling_(peeling),
       total_terms_(0),
       parity_elems_(std::move(parity_elems)) {
   APPROX_REQUIRE(k_ >= 1 && m_ >= 0 && rows_ >= 1, "bad code geometry");
@@ -64,7 +38,6 @@ LinearCode::LinearCode(std::string name, int k, int m, int rows,
     }
     total_terms_ += elem.size();
   }
-  schedule_opt_enabled_ = schedule_opt_default();
 }
 
 const std::vector<LinearCode::Term>& LinearCode::parity_terms(int parity_node,
@@ -83,70 +56,11 @@ void LinearCode::encode(std::span<const NodeView> nodes) const {
   encode_parity_nodes(nodes, all);
 }
 
-const std::vector<LinearCode::EncodeElem>& LinearCode::encode_plan() const {
-  std::call_once(encode_plan_once_, [this] {
-    encode_plan_.resize(parity_elems_.size());
-    for (std::size_t pe = 0; pe < parity_elems_.size(); ++pe) {
-      auto& elem = encode_plan_[pe];
-      elem.terms.reserve(parity_elems_[pe].size());
-      for (const auto& term : parity_elems_[pe]) {
-        elem.terms.push_back({term.info / rows_, term.info % rows_, term.coeff});
-        if (term.coeff != 1) elem.all_xor = false;
-      }
-    }
-  });
-  return encode_plan_;
-}
-
 void LinearCode::encode_parity_nodes(std::span<const NodeView> nodes,
                                      std::span<const int> parity_nodes) const {
-  APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
-                 "encode needs one view per node");
-  const std::size_t len = nodes[0].len;
-  for (const auto& v : nodes) {
-    APPROX_REQUIRE(v.len == len, "all node views must agree on element length");
-  }
+  const std::size_t len = uniform_len(nodes, total_nodes());
   APPROX_OBS_SPAN(span, "codes.encode");
-  static obs::Counter& xor_elems =
-      obs::registry().counter("codes.encode.path.xor");
-  static obs::Counter& gf_elems = obs::registry().counter("codes.encode.path.gf");
-  static obs::Counter& compiled_encodes =
-      obs::registry().counter("codes.encode.path.compiled");
-  if (schedule_opt_enabled()) {
-    compiled_encodes.add();
-    run_program(*encode_program(parity_nodes), nodes, len);
-    return;
-  }
-  const auto& plan = encode_plan();
-  std::vector<const std::uint8_t*> gather_srcs;
-  for (const int p : parity_nodes) {
-    APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
-    for (int row = 0; row < rows_; ++row) {
-      std::uint8_t* dst = nodes[static_cast<std::size_t>(p)].elem(row);
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
-      if (elem.all_xor) {
-        // XOR fast path: multi-source gather writes dst once per chunk.
-        xor_elems.add();
-        gather_srcs.clear();
-        gather_srcs.reserve(elem.terms.size());
-        for (const auto& term : elem.terms) {
-          gather_srcs.push_back(
-              nodes[static_cast<std::size_t>(term.node)].elem(term.row));
-        }
-        xorblk::xor_gather(dst, gather_srcs, len);
-        continue;
-      }
-      gf_elems.add();
-      std::memset(dst, 0, len);
-      for (const auto& term : elem.terms) {
-        gf::mul_acc_region(dst,
-                           nodes[static_cast<std::size_t>(term.node)].elem(term.row),
-                           len, term.coeff);
-      }
-    }
-  }
+  run_program(*encode_program(parity_nodes), nodes, len);
 }
 
 std::shared_ptr<const XorProgram> LinearCode::encode_program(
@@ -157,20 +71,15 @@ std::shared_ptr<const XorProgram> LinearCode::encode_program(
     auto it = encode_prog_cache_.find(key);
     if (it != encode_prog_cache_.end()) return it->second;
   }
-  const auto& plan = encode_plan();
   std::vector<RepairPlan::Target> stmts;
   stmts.reserve(key.size() * static_cast<std::size_t>(rows_));
   for (const int p : key) {
     APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
     for (int row = 0; row < rows_; ++row) {
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
       RepairPlan::Target t;
       t.elem = {p, row};
-      t.sources.reserve(elem.terms.size());
-      for (const auto& term : elem.terms) {
-        t.sources.push_back({ElemRef{term.node, term.row}, term.coeff});
+      for (const auto& term : parity_terms(p, row)) {
+        t.sources.push_back({ElemRef{term.info / rows_, term.info % rows_}, term.coeff});
       }
       stmts.push_back(std::move(t));
     }
@@ -227,7 +136,7 @@ std::shared_ptr<const RepairPlan> LinearCode::compute_plan(
   // short chain - this is how the bespoke EVENODD/STAR/LRC decoders work,
   // and it keeps schedules near-minimal.  Resolved elements become sources
   // for later targets.
-  if (peeling_enabled_ && unresolved > 0) {
+  if (peeling_ && unresolved > 0) {
     struct PElem {
       int node;
       int row;
@@ -398,19 +307,17 @@ std::shared_ptr<const RepairPlan> LinearCode::plan_repair(
       obs::registry().counter("codes.plan_cache.miss");
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_enabled_) {
-      auto it = plan_cache_.find(erased);
-      if (it != plan_cache_.end()) {
-        cache_hits.add();
-        return it->second;
-      }
+    auto it = plan_cache_.find(erased);
+    if (it != plan_cache_.end()) {
+      cache_hits.add();
+      return it->second;
     }
   }
   cache_misses.add();
   auto plan = compute_plan(erased);
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_enabled_) plan_cache_.emplace(std::move(erased), plan);
+    plan_cache_.emplace(std::move(erased), plan);
   }
   return plan;
 }
@@ -419,78 +326,20 @@ bool LinearCode::can_repair(std::span<const int> erased_nodes) const {
   return plan_repair(erased_nodes) != nullptr;
 }
 
-namespace {
-
-// Rebuild one schedule target.  When every coefficient is 1 (all targets of
-// binary codes, and coincidentally-XOR rows of GF codes) the whole
-// combination runs as one multi-source XOR gather, which writes dst once
-// per chunk instead of once per source; otherwise memset + GF
-// multiply-accumulate per source.  `gather_srcs` is caller-owned scratch so
-// plan replay over thousands of stripes does not reallocate per target.
-void rebuild_target(const RepairPlan::Target& target,
-                    std::span<const NodeView> nodes, std::size_t len,
-                    std::vector<const std::uint8_t*>& gather_srcs) {
-  std::uint8_t* dst =
-      nodes[static_cast<std::size_t>(target.elem.node)].elem(target.elem.row);
-  bool all_xor = true;
-  for (const auto& src : target.sources) {
-    if (src.coeff != 1) {
-      all_xor = false;
-      break;
-    }
-  }
-  if (all_xor) {
-    gather_srcs.clear();
-    gather_srcs.reserve(target.sources.size());
-    for (const auto& src : target.sources) {
-      gather_srcs.push_back(
-          nodes[static_cast<std::size_t>(src.elem.node)].elem(src.elem.row));
-    }
-    xorblk::xor_gather(dst, gather_srcs, len);
-    return;
-  }
-  std::memset(dst, 0, len);
-  for (const auto& src : target.sources) {
-    gf::mul_acc_region(dst,
-                       nodes[static_cast<std::size_t>(src.elem.node)].elem(src.elem.row),
-                       len, src.coeff);
-  }
-}
-
-}  // namespace
-
 void LinearCode::apply(const RepairPlan& plan,
                        std::span<const NodeView> nodes) const {
-  APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
-                 "apply needs one view per node");
+  const std::size_t len = uniform_len(nodes, total_nodes());
   APPROX_OBS_SPAN(span, "codes.repair.apply");
   static obs::Counter& targets_rebuilt =
       obs::registry().counter("codes.repair.targets");
   targets_rebuilt.add(plan.targets.size());
-  const std::size_t len = nodes[0].len;
-  for (const auto& v : nodes) {
-    APPROX_REQUIRE(v.len == len, "all node views must agree on element length");
-  }
-  if (schedule_opt_enabled()) {
-    static obs::Counter& compiled_applies =
-        obs::registry().counter("codes.repair.path.compiled");
-    compiled_applies.add();
-    std::call_once(plan.compile_once,
-                   [&] { plan.compiled = compile_schedule(plan.targets); });
-    run_program(*plan.compiled, nodes, len);
-    return;
-  }
-  std::vector<const std::uint8_t*> gather_srcs;
-  for (const auto& target : plan.targets) {
-    rebuild_target(target, nodes, len, gather_srcs);
-  }
+  run_program(compiled_program(plan), nodes, len);
 }
 
 int LinearCode::apply_for_element(const RepairPlan& plan,
                                   std::span<const NodeView> nodes,
                                   ElemRef elem) const {
-  APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
-                 "apply needs one view per node");
+  const std::size_t len = uniform_len(nodes, total_nodes());
   // Locate the target and collect its transitive dependencies on other
   // rebuilt elements (sources living on erased nodes).
   std::vector<bool> is_erased(static_cast<std::size_t>(total_nodes()), false);
@@ -522,15 +371,12 @@ int LinearCode::apply_for_element(const RepairPlan& plan,
     }
   }
 
-  const std::size_t len = nodes[0].len;
-  int executed = 0;
-  std::vector<const std::uint8_t*> gather_srcs;
+  std::vector<RepairPlan::Target> slice;
   for (std::size_t t = 0; t < plan.targets.size(); ++t) {
-    if (!needed[t]) continue;
-    rebuild_target(plan.targets[t], nodes, len, gather_srcs);
-    ++executed;
+    if (needed[t]) slice.push_back(plan.targets[t]);
   }
-  return executed;
+  run_program(*compile_schedule(slice), nodes, len);
+  return static_cast<int>(slice.size());
 }
 
 bool LinearCode::repair(std::span<const NodeView> nodes,
@@ -568,43 +414,31 @@ bool LinearCode::repair_blocks(std::span<std::span<std::uint8_t>> nodes,
 
 LinearCode::ScrubResult LinearCode::scrub(std::span<const NodeView> nodes,
                                           std::span<const int> parity_nodes) const {
-  APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
-                 "scrub needs one view per node");
+  const std::size_t len = uniform_len(nodes, total_nodes());
   APPROX_OBS_SPAN(span, "codes.scrub");
   static obs::Counter& scrub_elems =
       obs::registry().counter("codes.scrub.elements");
   static obs::Counter& scrub_mismatches =
       obs::registry().counter("codes.scrub.mismatches");
-  const std::size_t len = nodes[0].len;
-  ScrubResult result;
-  const auto& plan = encode_plan();
-  std::vector<std::uint8_t> expected(len);
-  std::vector<const std::uint8_t*> gather_srcs;
-  for (const int p : parity_nodes) {
+  // Recompute the listed parities into scratch views (the stored ones stay
+  // untouched), then compare element by element.
+  const std::size_t node_len = static_cast<std::size_t>(rows_) * len;
+  auto scratch = std::make_unique_for_overwrite<std::uint8_t[]>(
+      parity_nodes.size() * node_len);
+  std::vector<NodeView> views(nodes.begin(), nodes.end());
+  for (std::size_t i = 0; i < parity_nodes.size(); ++i) {
+    const int p = parity_nodes[i];
     APPROX_REQUIRE(p >= k_ && p < total_nodes(), "not a parity node");
+    views[static_cast<std::size_t>(p)] = {scratch.get() + i * node_len, len, len};
+  }
+  run_program(*encode_program(parity_nodes), views, len);
+
+  ScrubResult result;
+  for (const int p : parity_nodes) {
     for (int row = 0; row < rows_; ++row) {
-      const auto& elem = plan[static_cast<std::size_t>(p - k_) *
-                                  static_cast<std::size_t>(rows_) +
-                              static_cast<std::size_t>(row)];
-      if (elem.all_xor && !elem.terms.empty()) {
-        gather_srcs.clear();
-        gather_srcs.reserve(elem.terms.size());
-        for (const auto& term : elem.terms) {
-          gather_srcs.push_back(
-              nodes[static_cast<std::size_t>(term.node)].elem(term.row));
-        }
-        xorblk::xor_gather(expected.data(), gather_srcs, len);
-      } else {
-        std::memset(expected.data(), 0, len);
-        for (const auto& term : elem.terms) {
-          gf::mul_acc_region(expected.data(),
-                             nodes[static_cast<std::size_t>(term.node)].elem(term.row),
-                             len, term.coeff);
-        }
-      }
       scrub_elems.add();
-      if (std::memcmp(expected.data(), nodes[static_cast<std::size_t>(p)].elem(row),
-                      len) != 0) {
+      if (std::memcmp(views[static_cast<std::size_t>(p)].elem(row),
+                      nodes[static_cast<std::size_t>(p)].elem(row), len) != 0) {
         scrub_mismatches.add();
         result.mismatched.push_back({p, row});
       }
@@ -718,30 +552,6 @@ double LinearCode::storage_overhead() const noexcept {
 
 double LinearCode::avg_single_write_cost() const noexcept {
   return 1.0 + static_cast<double>(total_terms_) / static_cast<double>(info_count());
-}
-
-void LinearCode::set_plan_cache_enabled(bool enabled) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_enabled_ = enabled;
-  if (!enabled) plan_cache_.clear();
-}
-
-void LinearCode::set_peeling_enabled(bool enabled) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (peeling_enabled_ != enabled) {
-    peeling_enabled_ = enabled;
-    plan_cache_.clear();  // cached plans were built under the other mode
-  }
-}
-
-void LinearCode::set_schedule_opt_enabled(bool enabled) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  schedule_opt_enabled_ = enabled;
-}
-
-bool LinearCode::schedule_opt_enabled() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return schedule_opt_enabled_;
 }
 
 }  // namespace approx::codes

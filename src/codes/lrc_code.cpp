@@ -80,11 +80,7 @@ std::shared_ptr<const LinearCode> make_lrc(int k, int l, int r) {
   for (int offset = 0; offset < 48 && result == nullptr; ++offset) {
     auto candidate = std::make_shared<LinearCode>(name, k, l + r, 1,
                                                   lrc_parities(k, l, r, offset), r + 1);
-    candidate->set_plan_cache_enabled(false);
-    if (tolerates_all(*candidate, r + 1)) {
-      candidate->set_plan_cache_enabled(true);
-      result = std::move(candidate);
-    }
+    if (tolerates_all(*candidate, r + 1)) result = std::move(candidate);
   }
   APPROX_CHECK(result != nullptr, "no maximally recoverable LRC coefficients found");
   {

@@ -77,6 +77,10 @@ class MixedCode {
 
   mutable std::mutex cache_mu_;
   mutable std::map<std::vector<int>, std::shared_ptr<const RepairPlan>> plan_cache_;
+
+  // Compiled encode program (every parity element), built on first encode.
+  mutable std::once_flag encode_once_;
+  mutable std::shared_ptr<const XorProgram> encode_prog_;
 };
 
 // X-code(p): p x p array over prime p; rows 0..p-3 hold data, rows p-2 and

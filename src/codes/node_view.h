@@ -13,6 +13,8 @@
 #include <span>
 #include <vector>
 
+#include "common/error.h"
+
 namespace approx::codes {
 
 struct NodeView {
@@ -36,6 +38,19 @@ inline NodeView full_view(std::span<std::uint8_t> node, std::size_t block) {
 inline NodeView range_view(std::span<std::uint8_t> node, std::size_t block,
                            std::size_t offset, std::size_t len) {
   return NodeView{node.data() + offset, len, block};
+}
+
+// The element length shared by a code's views: there must be `count` views,
+// all of one length, or InvalidArgument is thrown (a shorter view would be
+// read past its end).
+inline std::size_t uniform_len(std::span<const NodeView> nodes, int count) {
+  APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(count),
+                 "coding needs one view per node");
+  const std::size_t len = nodes[0].len;
+  for (const auto& v : nodes) {
+    APPROX_REQUIRE(v.len == len, "all node views must agree on element length");
+  }
+  return len;
 }
 
 // An element coordinate: node index + row within the node.

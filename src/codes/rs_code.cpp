@@ -85,7 +85,6 @@ std::shared_ptr<const LinearCode> make_mds_with_xor_row(int k, int m) {
         for (int i = 0; i < prefix; ++i) ids.push_back(i);
         LinearCode candidate("cand", k, prefix, 1,
                              dense_rows_to_terms(parity.select_rows(ids)), prefix);
-        candidate.set_plan_cache_enabled(false);
         ok = tolerates_all(candidate, prefix);
       }
       if (ok) {

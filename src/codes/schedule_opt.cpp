@@ -1,16 +1,16 @@
 #include "codes/schedule_opt.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
 #include "gf/gf256.h"
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
-#include "xorblk/xor_kernels.h"
 
 namespace approx::codes {
 
@@ -178,6 +178,12 @@ std::shared_ptr<const XorProgram> compile_schedule(
   return prog;
 }
 
+const XorProgram& compiled_program(const RepairPlan& plan) {
+  std::call_once(plan.compile_once,
+                 [&] { plan.compiled = compile_schedule(plan.targets); });
+  return *plan.compiled;
+}
+
 void run_program(const XorProgram& prog, std::span<const NodeView> nodes,
                  std::size_t len, std::size_t block_bytes) {
   APPROX_REQUIRE(block_bytes > 0, "schedule block size must be positive");
@@ -201,14 +207,9 @@ void run_program(const XorProgram& prog, std::span<const NodeView> nodes,
       for (const auto& src : stmt.sources) {
         if (src.coeff == 1) gather.push_back(ptr(src.ref));
       }
-      // Gather writes dst once per chunk (dst may alias any single source);
-      // GF terms then accumulate on top, matching the naive
-      // memset + mul_acc result byte for byte.
-      if (gather.empty()) {
-        std::memset(dst, 0, blk);
-      } else {
-        xorblk::xor_gather(dst, gather, blk);
-      }
+      // Gather writes dst once per chunk (dst may alias any single source;
+      // no sources zeroes it); GF terms then accumulate on top.
+      kernels::xor_gather(dst, gather, blk);
       for (const auto& src : stmt.sources) {
         if (src.coeff != 1) {
           gf::mul_acc_region(dst, ptr(src.ref), blk, src.coeff);

@@ -18,11 +18,15 @@
 //     in L1/L2.  Temporaries need one block of scratch each - a single
 //     allocation per run, not per statement.
 //
-// Execution is byte-identical to the naive per-target loops in
-// linear_code.cpp: each statement is a multi-source XOR gather (dst may
-// alias any single source, per the kernel contract) followed by GF
-// multiply-accumulates for non-unit coefficients.  Coefficients survive
-// compilation untouched - CSE only ever merges pure XOR operands.
+// run_program() is the only executor of coding math: every encode, repair,
+// degraded-read slice and scrub recomputation in LinearCode and MixedCode
+// compiles its statements and runs them here.  Each statement is a
+// multi-source XOR gather (dst may alias any single source, per the kernel
+// contract) followed by GF multiply-accumulates for non-unit coefficients,
+// so the result is byte-identical to executing the statements one by one
+// (tests/support/reference_schedule.h is that per-target reference).
+// Coefficients survive compilation untouched - CSE only ever merges pure
+// XOR operands.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +79,11 @@ struct XorProgram {
 // preserved, so repair-schedule dependency order is respected.
 std::shared_ptr<const XorProgram> compile_schedule(
     std::span<const RepairPlan::Target> stmts);
+
+// The plan's compiled program, built on first use and shared by every later
+// apply of the plan (thread-safe; feasibility probes that never apply a
+// plan never pay compilation).
+const XorProgram& compiled_program(const RepairPlan& plan);
 
 // Execute a compiled program over strided node views.  `nodes` is indexed by
 // Ref::node; every view must have element length `len`.  `block_bytes` is a

@@ -5,10 +5,8 @@
 #include <memory>
 #include <set>
 
-#include "codes/parallel.h"
 #include "common/buffer.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -205,16 +203,6 @@ std::vector<codes::NodeView> ApproximateCode::virtual_views(
 }
 
 void ApproximateCode::encode(std::span<std::span<std::uint8_t>> nodes) const {
-  encode_impl(nodes, nullptr);
-}
-
-void ApproximateCode::encode(std::span<std::span<std::uint8_t>> nodes,
-                             ThreadPool& pool) const {
-  encode_impl(nodes, &pool);
-}
-
-void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
-                                  ThreadPool* pool) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
                  "node span count mismatch");
   APPROX_OBS_SPAN(span, "core.encode");
@@ -227,12 +215,7 @@ void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
   }
   // Local parities: every stripe.
   for (int stripe = 0; stripe < params_.h; ++stripe) {
-    auto views = local_views(nodes, stripe);
-    if (pool != nullptr) {
-      codes::encode_parallel(*local_, views, *pool);
-    } else {
-      local_->encode(views);
-    }
+    local_->encode(local_views(nodes, stripe));
     local_stripes.add();
   }
   // Global parities over important data.
@@ -242,12 +225,7 @@ void ApproximateCode::encode_impl(std::span<std::span<std::uint8_t>> nodes,
   }
   const int global_stripes = params_.structure == Structure::Uneven ? 1 : params_.h;
   for (int stripe = 0; stripe < global_stripes; ++stripe) {
-    auto views = virtual_views(nodes, stripe);
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*base_, views, global_ids, *pool);
-    } else {
-      base_->encode_parity_nodes(views, global_ids);
-    }
+    base_->encode_parity_nodes(virtual_views(nodes, stripe), global_ids);
     global_segments.add();
   }
 }
@@ -487,47 +465,20 @@ RepairReport ApproximateCode::plan_repair(std::span<const int> erased,
 
 void ApproximateCode::execute(const RepairReport& report,
                               std::span<std::span<std::uint8_t>> nodes) const {
-  execute_impl(report, nodes, nullptr);
-}
-
-void ApproximateCode::execute(const RepairReport& report,
-                              std::span<std::span<std::uint8_t>> nodes,
-                              ThreadPool& pool) const {
-  execute_impl(report, nodes, &pool);
-}
-
-void ApproximateCode::execute_impl(const RepairReport& report,
-                                   std::span<std::span<std::uint8_t>> nodes,
-                                   ThreadPool* pool) const {
   APPROX_REQUIRE(nodes.size() == static_cast<std::size_t>(total_nodes()),
                  "node span count mismatch");
   APPROX_OBS_SPAN(span, "core.repair.execute");
   for (const StripeOutcome& out : report.stripes) {
     if (out.plan == nullptr) continue;
     if (out.kind == StripeOutcome::Kind::LocalRepair) {
-      auto views = local_views(nodes, out.stripe);
-      if (pool != nullptr) {
-        codes::apply_parallel(*local_, *out.plan, views, *pool);
-      } else {
-        local_->apply(*out.plan, views);
-      }
+      local_->apply(*out.plan, local_views(nodes, out.stripe));
     } else if (out.kind == StripeOutcome::Kind::ImportantOnlyRepair) {
-      auto views = virtual_views(nodes, out.stripe);
-      if (pool != nullptr) {
-        codes::apply_parallel(*base_, *out.plan, views, *pool);
-      } else {
-        base_->apply(*out.plan, views);
-      }
+      base_->apply(*out.plan, virtual_views(nodes, out.stripe));
     }
   }
   for (const auto& [gi, s] : report.reencode_segments) {
-    auto views = virtual_views(nodes, s);
     const std::vector<int> parity_node{params_.nodes_per_stripe() + gi};
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*base_, views, parity_node, *pool);
-    } else {
-      base_->encode_parity_nodes(views, parity_node);
-    }
+    base_->encode_parity_nodes(virtual_views(nodes, s), parity_node);
   }
   // Recompute local parities over the zero-filled lost ranges.
   std::vector<int> local_parities;
@@ -542,11 +493,7 @@ void ApproximateCode::execute_impl(const RepairReport& report,
                           : codes::range_view(node, block_size_, seg(),
                                               block_size_ - seg()));
     }
-    if (pool != nullptr) {
-      codes::encode_parity_nodes_parallel(*local_, views, local_parities, *pool);
-    } else {
-      local_->encode_parity_nodes(views, local_parities);
-    }
+    local_->encode_parity_nodes(views, local_parities);
   }
 }
 
@@ -560,15 +507,6 @@ RepairReport ApproximateCode::repair(std::span<std::span<std::uint8_t>> nodes,
                                      RepairOptions options) const {
   RepairReport report = plan_repair(erased, options);
   execute(report, nodes);
-  return report;
-}
-
-RepairReport ApproximateCode::repair(std::span<std::span<std::uint8_t>> nodes,
-                                     std::span<const int> erased,
-                                     RepairOptions options,
-                                     ThreadPool& pool) const {
-  RepairReport report = plan_repair(erased, options);
-  execute(report, nodes, pool);
   return report;
 }
 

@@ -31,10 +31,6 @@
 #include "codes/linear_code.h"
 #include "core/appr_params.h"
 
-namespace approx {
-class ThreadPool;
-}
-
 namespace approx::core {
 
 // Outcome of one stripe's repair within a failure pattern.
@@ -129,9 +125,6 @@ class ApproximateCode {
   // --- Coding --------------------------------------------------------------
   // Compute all h*r local parity nodes and g global parity nodes.
   void encode(std::span<std::span<std::uint8_t>> nodes) const;
-  // Identical output, with each stripe's / segment's byte range fanned out
-  // across the pool via codes/parallel sub-views.
-  void encode(std::span<std::span<std::uint8_t>> nodes, ThreadPool& pool) const;
 
   struct RepairOptions {
     // Recompute local parities over zero-filled holes so repaired stripes
@@ -149,19 +142,12 @@ class ApproximateCode {
   // Execute a schedule produced by plan_repair on actual buffers.
   void execute(const RepairReport& report,
                std::span<std::span<std::uint8_t>> nodes) const;
-  // Identical output, with each plan's byte range fanned out across the
-  // pool via codes/parallel sub-views.
-  void execute(const RepairReport& report,
-               std::span<std::span<std::uint8_t>> nodes, ThreadPool& pool) const;
 
   // plan_repair + execute.
   RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
                       std::span<const int> erased) const;
   RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
                       std::span<const int> erased, RepairOptions options) const;
-  RepairReport repair(std::span<std::span<std::uint8_t>> nodes,
-                      std::span<const int> erased, RepairOptions options,
-                      ThreadPool& pool) const;
 
   // --- Incremental updates (the single-write path of Fig. 8) --------------
   // Precondition: the stripes being updated carry consistent parity.  After
@@ -224,11 +210,6 @@ class ApproximateCode {
  private:
   std::size_t seg() const noexcept { return block_size_ / static_cast<std::size_t>(params_.h); }
 
-  void encode_impl(std::span<std::span<std::uint8_t>> nodes,
-                   ThreadPool* pool) const;
-  void execute_impl(const RepairReport& report,
-                    std::span<std::span<std::uint8_t>> nodes,
-                    ThreadPool* pool) const;
   std::vector<codes::NodeView> local_views(std::span<std::span<std::uint8_t>> nodes,
                                            int stripe) const;
   std::vector<codes::NodeView> virtual_views(std::span<std::span<std::uint8_t>> nodes,

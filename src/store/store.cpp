@@ -46,13 +46,6 @@ struct RobustnessMetrics {
   }
 };
 
-// When stripe-level pipelining alone cannot fill the pool (fewer in-flight
-// stripes than workers), fan each stripe's codec work out across the pool
-// too via the codes/parallel sub-views.
-bool fan_out_codec(int depth, const ThreadPool& pool) {
-  return depth < static_cast<int>(pool.size());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -310,7 +303,6 @@ VolumeStore VolumeStore::encode_file(IoBackend& io,
   // the stripe to every node file in chunk order.
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const int depth = resolve_pipeline_depth(opts.pipeline_depth, pool);
-  const bool fan_out = fan_out_codec(depth, pool);
 
   struct Staged {
     std::vector<std::uint8_t> imp, unimp;
@@ -355,11 +347,7 @@ VolumeStore VolumeStore::encode_file(IoBackend& io,
     auto& s = slots[static_cast<std::size_t>(slot)];
     auto spans = s.stripe.spans();
     code.scatter(s.imp, s.unimp, spans);
-    if (fan_out) {
-      code.encode(spans, pool);
-    } else {
-      code.encode(spans);
-    }
+    code.encode(spans);
     return IoStatus::success();
   };
   stages.write = [&](std::uint64_t, int slot) -> IoStatus {
@@ -498,7 +486,6 @@ VolumeStore::DecodeResult VolumeStore::decode_file(
   // bookkeeping into the shared result.
   ThreadPool& pipeline_pool = pool();
   const int depth = resolve_pipeline_depth(opts_.pipeline_depth, pipeline_pool);
-  const bool fan_out = fan_out_codec(depth, pipeline_pool);
 
   struct Slot {
     StripeBuffers stripe;
@@ -567,9 +554,7 @@ VolumeStore::DecodeResult VolumeStore::decode_file(
       // Exact reconstruction of the erased members in scratch memory; the
       // on-disk files are untouched.  Anything the code cannot restore
       // stays zero-filled and is reported as explicit loss below.
-      const auto rep =
-          fan_out ? code_->repair(spans, slot.erased, {}, pipeline_pool)
-                  : code_->repair(spans, slot.erased);
+      const auto rep = code_->repair(spans, slot.erased);
       slot.important_ok = rep.all_important_recovered;
       slot.lost_bytes =
           rep.important_data_bytes_lost + rep.unimportant_data_bytes_lost;

@@ -101,7 +101,6 @@ TEST_P(SolverFuzz, CanRepairAgreesWithRankCheck) {
     const int m = 1 + static_cast<int>(rng.below(3));
     const int rows = 1 + static_cast<int>(rng.below(4));
     auto code = random_code(k, m, rows, binary, rng);
-    code->set_plan_cache_enabled(false);
     const int n = code->total_nodes();
     const int f = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(
                           std::min(3, n - 1))));
@@ -136,7 +135,6 @@ TEST_P(SolverFuzz, RepairedBuffersMatchGroundTruth) {
     const int m = 1 + static_cast<int>(rng.below(3));
     const int rows = 1 + static_cast<int>(rng.below(3));
     auto code = random_code(k, m, rows, binary, rng);
-    code->set_plan_cache_enabled(false);
 
     const std::size_t block = 24;
     StripeBuffers buf(code->total_nodes(),

@@ -1,8 +1,9 @@
 // Property-based round-trip suite over the kernel matrix: for every code
 // family at small (k, r), enumerate *all* erasure patterns up to the code's
 // fault tolerance and assert decode == original under every kernel backend
-// the host exposes, crossed with both schedule-execution modes (naive
-// per-target loops vs the compiled XOR program, see codes/schedule_opt.h).
+// the host exposes, crossed with two executors: the production compiled XOR
+// programs (codes/schedule_opt.h) and the naive per-target reference of
+// tests/support/reference_schedule.h.
 // Block lengths are deliberately not multiples of the vector width so SIMD
 // main loops and scalar tails are both on the repaired path.  Data is
 // seeded; the seed is part of every failure message.
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../support/reference_schedule.h"
 #include "codes/array_codes.h"
 #include "codes/crs_code.h"
 #include "codes/lrc_code.h"
@@ -56,9 +58,11 @@ std::string pattern_label(const std::vector<int>& erased) {
 }
 
 // Encode once with pristine data, then for every erasure pattern wipe the
-// lost nodes and repair; every byte of every node must come back.
+// lost nodes and repair; every byte of every node must come back.  With
+// `compiled` false both steps run on the reference executor instead.
 template <typename Code>
-void roundtrip_all_patterns(const Code& code, const std::string& name) {
+void roundtrip_all_patterns(const Code& code, const std::string& name,
+                            bool compiled) {
   const std::size_t node_bytes =
       kBlock * static_cast<std::size_t>(code.rows());
   StripeBuffers buf(code.total_nodes(), node_bytes);
@@ -67,9 +71,15 @@ void roundtrip_all_patterns(const Code& code, const std::string& name) {
     auto s = buf.node(n);
     fill_random(s.data(), s.size(), rng);
   }
-  {
+  std::vector<codes::NodeView> views;
+  for (int n = 0; n < code.total_nodes(); ++n) {
+    views.push_back(codes::full_view(buf.node(n), kBlock));
+  }
+  if (compiled) {
     auto spans = buf.spans();
     code.encode_blocks(spans, kBlock);
+  } else {
+    reference::encode(code, views);
   }
   const StripeBuffers pristine = buf;  // deep copy of the encoded stripe
 
@@ -83,8 +93,14 @@ void roundtrip_all_patterns(const Code& code, const std::string& name) {
           auto s = buf.node(e);
           std::memset(s.data(), 0xEE, s.size());
         }
-        auto spans = buf.spans();
-        ASSERT_TRUE(code.repair_blocks(spans, kBlock, erased));
+        if (compiled) {
+          auto spans = buf.spans();
+          ASSERT_TRUE(code.repair_blocks(spans, kBlock, erased));
+        } else {
+          const auto plan = code.plan_repair(erased);
+          ASSERT_NE(plan, nullptr);
+          reference::apply(*plan, views);
+        }
         for (int n = 0; n < code.total_nodes(); ++n) {
           ASSERT_EQ(0, std::memcmp(buf.node(n).data(), pristine.node(n).data(),
                                    node_bytes))
@@ -93,8 +109,7 @@ void roundtrip_all_patterns(const Code& code, const std::string& name) {
       });
 }
 
-// Param: (kernel backend, schedule-compiler enabled).  Codes without the
-// schedule hook (MixedCode) simply run their only path in both modes.
+// Param: (kernel backend, production compiled executor vs naive reference).
 using RoundtripParam = std::tuple<kernels::Backend, bool>;
 
 class CodecRoundtripTest : public ::testing::TestWithParam<RoundtripParam> {
@@ -104,10 +119,7 @@ class CodecRoundtripTest : public ::testing::TestWithParam<RoundtripParam> {
 
   template <typename Code>
   void run(const Code& code, const std::string& name) {
-    if constexpr (requires { code.set_schedule_opt_enabled(true); }) {
-      code.set_schedule_opt_enabled(std::get<1>(GetParam()));
-    }
-    roundtrip_all_patterns(code, name);
+    roundtrip_all_patterns(code, name, std::get<1>(GetParam()));
   }
 
   kernels::Backend prev_ = kernels::active_backend();

@@ -62,14 +62,12 @@ bool check(int p, int s1, int o1, int f1, int s2, int o2, int f2, bool prefix2) 
     std::vector<Terms> pe = h;
     pe.insert(pe.end(), d.begin(), d.end());
     LinearCode c2("c2", k, 2, rows, pe, 2);
-    c2.set_plan_cache_enabled(false);
     if (!tolerates_all(c2, 2)) return false;
   }
   std::vector<Terms> pe = h;
   pe.insert(pe.end(), d.begin(), d.end());
   pe.insert(pe.end(), a.begin(), a.end());
   LinearCode c3("c3", k, 3, rows, pe, 3);
-  c3.set_plan_cache_enabled(false);
   return tolerates_all(c3, 3);
 }
 }  // namespace
